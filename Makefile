@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke fuzz-search test-corpus bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
+.PHONY: all build test race vet bench-test fuzz-smoke fuzz-search test-corpus bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
 
 all: build vet test
 
@@ -22,6 +22,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The layered benchmark is its own module (pinsql/perfbench, which
+# replaces pinsql with this checkout), so the root `go test ./...` never
+# reaches it: vet and test it here so an API change that breaks the
+# benchmark's build fails CI.
+bench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing campaigns: sqltemplate.Normalize (panic-freedom,
 # idempotence, stable template IDs), the segment store's record codec

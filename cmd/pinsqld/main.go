@@ -87,7 +87,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		autoRepair = flag.Bool("auto-repair", false, "execute suggested repairing actions")
 		shards     = flag.Int("shards", 1, "independent scheduler/store shards; instances are hash-partitioned across them (0 = GOMAXPROCS; a durable layout keeps the count it was created with)")
-		workers    = flag.Int("workers", 0, "total scheduler workers split across shards (0 = GOMAXPROCS, 1 = sequential)")
+		workers    = flag.Int("workers", 0, "total diagnosis/commit workers split across shards (0 = GOMAXPROCS, 1 = sequential)")
 		queueDepth = flag.Int("queue-depth", 8, "staged windows per instance before diagnosis shedding")
 		dataDir    = flag.String("data-dir", "", "directory for the durable per-instance stores (empty = in-memory)")
 		syncEvery  = flag.Int("sync-every", 0, "fsync the log-store wal every N records (0 = only at seal/close; process-crash safe either way)")

@@ -59,7 +59,6 @@ type FleetBenchRow struct {
 	ShedRate          float64 `json:"shed_rate"` // shed windows / committed windows
 	PeakQueue         int     `json:"peak_queue"`
 	Records           int64   `json:"records"`
-	Dropped           int64   `json:"dropped"` // broker backpressure loss
 	// ReportHash fingerprints the fleet report (FNV-1a). Every cell with
 	// the same instance count must agree — across shard counts AND across
 	// the process boundary — so the sweep doubles as the cross-shard and
@@ -229,7 +228,6 @@ func runFleetCell(seed int64, n, windows, windowSec, shards, workers int, factor
 	for _, is := range st.Instances {
 		row.PeakQueue = max(row.PeakQueue, is.PeakQueue)
 		row.Records += is.Records
-		row.Dropped += is.Dropped
 	}
 	if err := m.Close(); err != nil {
 		return row, err
@@ -264,11 +262,11 @@ func hashReport(report string) string {
 func (b *FleetBench) Format() string {
 	var s strings.Builder
 	fmt.Fprintf(&s, "Fleet throughput sweep (%ds windows, GOMAXPROCS=%d)\n", b.WindowSec, b.GOMAXPROCS)
-	s.WriteString("  instances  shards  workers  mode    windows   wall(s)  win/s   spdup   eff    shed%  peakQ   records  dropped  identical\n")
+	s.WriteString("  instances  shards  workers  mode    windows   wall(s)  win/s   spdup   eff    shed%  peakQ   records  identical\n")
 	for _, r := range b.Rows {
-		fmt.Fprintf(&s, "  %9d  %6d  %7d  %-6s  %7d  %8.2f  %5.1f  %6.2f  %4.2f  %6.1f  %5d  %8d  %7d  %9v\n",
+		fmt.Fprintf(&s, "  %9d  %6d  %7d  %-6s  %7d  %8.2f  %5.1f  %6.2f  %4.2f  %6.1f  %5d  %8d  %9v\n",
 			r.Instances, r.Shards, r.Workers, r.Mode, r.Windows, r.WallSec, r.WindowsPerSec,
-			r.ShardSpeedup, r.ScalingEfficiency, r.ShedRate*100, r.PeakQueue, r.Records, r.Dropped, r.Identical)
+			r.ShardSpeedup, r.ScalingEfficiency, r.ShedRate*100, r.PeakQueue, r.Records, r.Identical)
 	}
 	if !b.Identical {
 		s.WriteString("  DIVERGENCE: some cells' reports differ from their instance count's baseline (cross-shard or cross-mode)\n")

@@ -27,9 +27,11 @@ import (
 
 // Options configures a fleet.
 type Options struct {
-	// Workers sizes the shared scheduler pool (0 = GOMAXPROCS). The
-	// final report is byte-identical for every value (when no window is
-	// shed).
+	// Workers sizes the shared drain pool that diagnoses and commits
+	// staged windows (0 = GOMAXPROCS). Sources play on one goroutine per
+	// instance outside the pool, so a paced or blocked source never holds
+	// a worker. The final report is byte-identical for every value (when
+	// no window is shed).
 	Workers int
 
 	// QueueDepth bounds each instance's staged-window queue; when a
@@ -54,14 +56,6 @@ type Options struct {
 	// oversubscription); diagnosis output is identical for every value.
 	DiagnosisWorkers int
 
-	// BrokerBuffer is the per-window subscription buffer between the
-	// trace player and the stream aggregator. Default 65536. The player
-	// publishes losslessly (a replayed window is pumped much faster than
-	// real time, and a dropped record would break bit-reproducibility),
-	// so the buffer is pipe depth, not a drop threshold: a full buffer
-	// throttles the player to the aggregator.
-	BrokerBuffer int
-
 	// Metrics receives the fleet's counters and gauges; nil creates a
 	// private registry (reachable via Fleet.Metrics). When several fleets
 	// share one registry (the shard manager), Labels keeps their series
@@ -74,7 +68,7 @@ type Options struct {
 	Labels []obs.Label
 
 	// OnCommit, if set, is called after every committed window (from a
-	// scheduler goroutine; keep it quick).
+	// drain worker; keep it quick).
 	OnCommit func(id string, rep *WindowReport)
 
 	// CrashAt is the crash-injection test hook: returning true at a
@@ -92,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DiagnosisWorkers == 0 {
 		o.DiagnosisWorkers = 1
-	}
-	if o.BrokerBuffer <= 0 {
-		o.BrokerBuffer = 65536
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
@@ -150,7 +141,7 @@ type Fleet struct {
 	ids   []string // sorted
 
 	pool    *parallel.Pool
-	broker  *collect.Broker
+	players sync.WaitGroup // one runSim goroutine per playing instance
 	mod     *repair.Module
 	journal *journal // non-nil in durable mode: one group-committed file per fleet
 
@@ -179,10 +170,9 @@ var errCrashed = errors.New("fleet: crash hook fired")
 func New(specs []InstanceSpec, opt Options) (*Fleet, error) {
 	opt = opt.withDefaults()
 	f := &Fleet{
-		opt:    opt,
-		insts:  make(map[string]*instState, len(specs)),
-		broker: collect.NewBroker(),
-		mod:    repair.New(repair.DefaultConfig(), repair.DefaultOptimizer()),
+		opt:   opt,
+		insts: make(map[string]*instState, len(specs)),
+		mod:   repair.New(repair.DefaultConfig(), repair.DefaultOptimizer()),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.diagCfg = core.DefaultConfig()
@@ -381,10 +371,6 @@ func (f *Fleet) registerMetrics() {
 		m.GaugeFunc("pinsql_ingest_lag_seconds", "Known trace end minus the replay playhead.", func() float64 {
 			return st.play.Stats().LagSeconds
 		}, f.lbls(lbl)...)
-		id := id
-		m.CounterFunc("pinsql_broker_dropped_total", "Records dropped by the broker under backpressure.", func() float64 {
-			return float64(f.broker.Dropped(id))
-		}, f.lbls(obs.L("topic", id))...)
 	}
 }
 
@@ -405,11 +391,6 @@ func (f *Fleet) Start() {
 	}
 }
 
-// maybeScheduleSim submits the instance's next simulator window at high
-// priority. Callers hold f.mu. At most one sim task per instance runs at
-// a time (dbsim instances are not concurrency-safe); an auto-repairing
-// instance additionally runs in lockstep with its commits, because
-// repairs mutate the world the next window simulates.
 // doneSimLocked reports whether the instance has no further windows to
 // play: its window budget is exhausted, or its source hit end of trace.
 // Callers hold f.mu.
@@ -420,6 +401,11 @@ func (st *instState) doneSimLocked() bool {
 	return st.spec.Windows > 0 && st.nextSim >= st.spec.Windows
 }
 
+// maybeScheduleSim starts playing the instance's next window on its own
+// goroutine, outside the drain pool. Callers hold f.mu. At most one play
+// per instance runs at a time (dbsim instances are not concurrency-safe);
+// an auto-repairing instance additionally runs in lockstep with its
+// commits, because repairs mutate the world the next window simulates.
 func (f *Fleet) maybeScheduleSim(st *instState) {
 	if st.simActive || st.err != nil || f.draining || f.dead {
 		return
@@ -432,10 +418,14 @@ func (f *Fleet) maybeScheduleSim(st *instState) {
 	}
 	st.simActive = true
 	w := st.nextSim
-	f.pool.Submit(func() { f.runSim(st, w) })
+	f.players.Add(1)
+	go func() {
+		defer f.players.Done()
+		f.runSim(st, w)
+	}()
 }
 
-// maybeScheduleDrain submits a diagnosis/commit drain at low priority.
+// maybeScheduleDrain submits a diagnosis/commit drain to the pool.
 // Callers hold f.mu. One drain per instance at a time: windows commit
 // strictly in order.
 func (f *Fleet) maybeScheduleDrain(st *instState) {
@@ -443,12 +433,13 @@ func (f *Fleet) maybeScheduleDrain(st *instState) {
 		return
 	}
 	st.drainActive = true
-	f.pool.SubmitLow(func() { f.runDrain(st) })
+	f.pool.Submit(func() { f.runDrain(st) })
 }
 
-// runSim plays window w and stages its output, shedding the oldest
-// queued window when the queue is full — the player is never blocked on
-// diagnosis.
+// runSim plays window w on the instance's player goroutine and stages its
+// output, shedding the oldest queued window when the queue is full — the
+// player is never blocked on diagnosis, and the drain pool is never
+// blocked on the source.
 func (f *Fleet) runSim(st *instState, w int) {
 	start := time.Now()
 	sw, more, err := f.simWindow(st, w)
@@ -491,11 +482,11 @@ func (f *Fleet) runSim(st *instState, w int) {
 	f.maybeScheduleSim(st)
 }
 
-// simWindow runs the collect/aggregate stage of one window: the player
-// pumps the instance's source (the simulator or a recorded trace) through
-// the broker into a staging collector backed by a private in-memory
-// store; nothing durable happens here. It returns io.EOF when the trace
-// was exhausted before this window's first second.
+// simWindow runs the collect stage of one window: the player pumps the
+// instance's source (the simulator or a recorded trace) straight into a
+// staging collector backed by a private in-memory store, in batch order;
+// nothing durable happens here. It returns io.EOF when the trace was
+// exhausted before this window's first second.
 func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 	spec := st.spec
 	windowMs := int64(spec.WindowSec) * 1000
@@ -509,15 +500,7 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 
 	staging := logstore.New(0)
 	coll := collect.NewCollector(spec.ID, fromMs, toMs, st.registry, staging)
-	dropBefore := f.broker.Dropped(spec.ID)
-	ch, cancel := f.broker.Subscribe(spec.ID, f.opt.BrokerBuffer)
-	done := collect.NewStreamAggregator(coll).Consume(ch)
-	// Lossless publish: the player is throttled to the aggregator, which
-	// keeps draining until cancel — so the pump can run arbitrarily
-	// faster than trace time without shedding records.
-	rows, more, err := st.play.PlayWindow(fromMs, toMs, f.broker.BlockingSink(spec.ID))
-	cancel()
-	<-done
+	rows, more, err := st.play.PlayWindow(fromMs, toMs, coll.Sink())
 	if err != nil {
 		return nil, more, err
 	}
@@ -539,7 +522,6 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 			Window: w, FromMs: fromMs, ToMs: toMs,
 			Injected:    injected,
 			Records:     coll.Records(),
-			Dropped:     f.broker.Dropped(spec.ID) - dropBefore,
 			MeanSession: sess,
 			MeanCPU:     cpu,
 		},
@@ -765,12 +747,8 @@ func (f *Fleet) Wait() error {
 func (f *Fleet) Stop() error {
 	f.mu.Lock()
 	f.draining = true
-	for _, id := range f.ids {
-		// A lockstepped instance may be idle waiting for a commit; wake
-		// nothing — pending drains finish on their own. Broadcast so a
-		// concurrent Wait re-evaluates under the drain flag.
-		_ = id
-	}
+	// Pending plays and drains finish on their own; broadcast so a
+	// concurrent Wait re-evaluates under the drain flag.
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return f.Close()
@@ -792,10 +770,13 @@ func (f *Fleet) Close() error {
 	dead := f.dead
 	f.mu.Unlock()
 
+	// After a crash Wait returns while a play may still be pulling from
+	// its source: join the players so no source is read once Close
+	// returns.
+	f.players.Wait()
 	if f.pool != nil {
 		f.pool.Close()
 	}
-	f.broker.Close()
 	var first error
 	for _, id := range f.ids {
 		st := f.insts[id]
@@ -901,7 +882,6 @@ type InstanceStatus struct {
 	Shed       int64  `json:"shed"`
 	Anomalies  int    `json:"anomalies"`
 	Records    int64  `json:"records"`
-	Dropped    int64  `json:"dropped"`
 	AutoRepair bool   `json:"auto_repair,omitempty"`
 	Done       bool   `json:"done"`
 	Error      string `json:"error,omitempty"`
@@ -938,7 +918,6 @@ func (f *Fleet) Status() Status {
 			PeakQueue:  st.peakQueue,
 			Shed:       st.cShed.Value(),
 			Records:    st.cRecords.Value(),
-			Dropped:    f.broker.Dropped(id),
 			AutoRepair: st.spec.AutoRepair,
 			Done:       st.doneSimLocked() && len(st.reports) == st.nextSim,
 		}

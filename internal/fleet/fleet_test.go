@@ -2,12 +2,19 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"pinsql/internal/dbsim"
+	"pinsql/internal/ingest"
+	"pinsql/internal/workload"
 )
 
 // testSpecs is the shared fixture: four heterogeneous instances, the last
@@ -140,13 +147,76 @@ func TestFleetRestartNoRemainder(t *testing.T) {
 	}
 }
 
-// TestFleetShedPolicy forces backpressure: one worker gives simulator
-// steps strict priority over diagnosis drains, so a depth-1 queue must
-// shed every window but the last — yet all windows still commit their
-// records, keeping the topic contiguous.
+// hookedSource is a simulator-backed trace source for scheduling tests:
+// before each pull it calls before with the trace second about to be
+// pulled, and at every window boundary it injects the DefaultInject
+// incident into the world, so the trace-backed instance sees the same
+// incidents a simulator-backed one would.
+type hookedSource struct {
+	ingest.Source
+	world     *workload.World
+	inject    func(w *workload.World, window int, fromMs, toMs int64) string
+	windowSec int64
+	next      int64 // trace second of the next pull
+	before    func(sec int64)
+}
+
+func (s *hookedSource) Next() (ingest.Batch, error) {
+	s.before(s.next)
+	if s.next%s.windowSec == 0 {
+		w := s.next / s.windowSec
+		s.inject(s.world, int(w), w*s.windowSec*1000, (w+1)*s.windowSec*1000)
+	}
+	b, err := s.Source.Next()
+	s.next++
+	return b, err
+}
+
+// hookedSpec is a trace-backed spec over DefaultSpec's simulator, with
+// before called ahead of every pull (see hookedSource).
+func hookedSpec(id string, seed int64, windows, windowSec int, before func(sec int64)) InstanceSpec {
+	spec := TraceSpec(id, windowSec, func() (ingest.Source, error) {
+		def := DefaultSpec(id, seed, windows, windowSec)
+		world, cfg := def.Setup(seed)
+		sim := dbsim.NewInstance(cfg)
+		world.Apply(sim)
+		return &hookedSource{
+			Source:    ingest.NewSimSource(world, sim, seed, windows, windowSec),
+			world:     world,
+			inject:    def.Inject,
+			windowSec: int64(windowSec),
+			before:    before,
+		}, nil
+	})
+	spec.Windows = windows
+	return spec
+}
+
+// TestFleetShedPolicy forces backpressure: the source blocks before
+// window 1 until window 0 commits, and that commit's OnCommit holds the
+// only pool worker until all four windows are staged. The depth-1 queue
+// must therefore shed exactly windows 1 and 2 — yet every window still
+// commits its records, keeping the topic contiguous.
 func TestFleetShedPolicy(t *testing.T) {
-	spec := DefaultSpec("shed", 11, 4, 300)
-	f, err := New([]InstanceSpec{spec}, Options{Workers: 1, QueueDepth: 1})
+	const windowSec = 300
+	gate := make(chan struct{})
+	spec := hookedSpec("shed", 11, 4, windowSec, func(sec int64) {
+		if sec == windowSec {
+			<-gate
+		}
+	})
+	var f *Fleet
+	opt := Options{Workers: 1, QueueDepth: 1}
+	opt.OnCommit = func(_ string, rep *WindowReport) {
+		if rep.Window != 0 {
+			return
+		}
+		close(gate)
+		for f.Status().Instances[0].Simulated < 4 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	f, err := New([]InstanceSpec{spec}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,23 +229,126 @@ func TestFleetShedPolicy(t *testing.T) {
 	if st.Committed != 4 {
 		t.Fatalf("committed %d windows, want 4 (shed windows must still commit)", st.Committed)
 	}
-	if st.Shed != 3 {
-		t.Fatalf("shed %d windows, want 3 (all but the final drain)", st.Shed)
+	if st.Shed != 2 {
+		t.Fatalf("shed %d windows, want 2 (windows 1 and 2)", st.Shed)
 	}
 	reps, _ := f.Diagnoses("shed")
 	for w, rep := range reps {
 		if rep.Records == 0 {
 			t.Fatalf("window %d committed no records", w)
 		}
-		if shed := w < 3; rep.Shed != shed {
+		if shed := w == 1 || w == 2; rep.Shed != shed {
 			t.Fatalf("window %d shed=%v, want %v", w, rep.Shed, shed)
 		}
 		if rep.Shed && len(rep.Anomalies) > 0 {
 			t.Fatalf("window %d kept a diagnosis despite being shed", w)
 		}
 	}
-	if c := f.insts["shed"].cShed.Value(); c != 3 {
-		t.Fatalf("shed counter = %d, want 3", c)
+	if c := f.insts["shed"].cShed.Value(); c != 2 {
+		t.Fatalf("shed counter = %d, want 2", c)
+	}
+}
+
+// TestFleetPacedSourceDoesNotStarveDrains: with a single pool worker and
+// every source blocked after window 0, each instance's window 0 must
+// still be diagnosed and committed — a waiting source holds its own
+// goroutine, never a drain worker.
+func TestFleetPacedSourceDoesNotStarveDrains(t *testing.T) {
+	const windowSec = 120
+	release := make(chan struct{})
+	var specs []InstanceSpec
+	for i := 0; i < 3; i++ {
+		specs = append(specs, hookedSpec(fmt.Sprintf("paced-%d", i), int64(21+i), 2, windowSec, func(sec int64) {
+			if sec == windowSec {
+				<-release
+			}
+		}))
+	}
+	committed := make(chan string, len(specs))
+	opt := Options{Workers: 1}
+	opt.OnCommit = func(id string, rep *WindowReport) {
+		if rep.Window == 0 {
+			committed <- id
+		}
+	}
+	f, err := New(specs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	timeout := time.After(time.Minute)
+	for range specs {
+		select {
+		case <-committed:
+		case <-timeout:
+			close(release)
+			f.Close()
+			t.Fatalf("window 0 did not commit on every instance while the sources were blocked: %+v", f.Status())
+		}
+	}
+	for _, is := range f.Status().Instances {
+		if is.Committed != 1 || is.Simulated != 1 {
+			t.Fatalf("instance %s: committed %d, simulated %d while its source was blocked, want 1 and 1", is.ID, is.Committed, is.Simulated)
+		}
+	}
+	close(release)
+	if err := f.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Status(); st.Committed != 2*len(specs) {
+		t.Fatalf("committed %d windows, want %d", st.Committed, 2*len(specs))
+	}
+}
+
+// TestFleetCloseJoinsPlayersAfterCrash: once the crash hook has fired and
+// Close has returned, no player goroutine may still pull from its source.
+// The source is held mid-window until the hook fires and then keeps
+// pulling slowly, so Close can only satisfy this by joining the player.
+func TestFleetCloseJoinsPlayersAfterCrash(t *testing.T) {
+	const windowSec = 120
+	crashed := make(chan struct{})
+	var closed atomic.Bool
+	var afterCrash, afterClose atomic.Int64
+	spec := hookedSpec("crash", 31, 3, windowSec, func(sec int64) {
+		if sec == windowSec {
+			<-crashed
+		}
+		if closed.Load() {
+			afterClose.Add(1)
+		}
+		select {
+		case <-crashed:
+			afterCrash.Add(1)
+			time.Sleep(100 * time.Microsecond)
+		default:
+		}
+	})
+	opt := Options{Workers: 1}
+	opt.CrashAt = func(_ string, window int, phase string) bool {
+		if window == 0 && phase == "post-journal" {
+			close(crashed)
+			return true
+		}
+		return false
+	}
+	f, err := New([]InstanceSpec{spec}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	f.Wait()
+	f.Close()
+	closed.Store(true)
+	// A leaked player would still be pulling, one batch per 100µs.
+	time.Sleep(20 * time.Millisecond)
+	if got := afterClose.Load(); got != 0 {
+		t.Fatalf("source pulled %d times after Close returned", got)
+	}
+	if afterCrash.Load() == 0 {
+		t.Fatal("the player never pulled after the crash: the test lost its teeth")
 	}
 }
 
@@ -272,7 +445,6 @@ func TestFleetHTTP(t *testing.T) {
 		`pinsql_fleet_anomalies_total{instance=`,
 		`pinsql_fleet_shed_windows_total{instance="inst-01"} 0`,
 		`pinsql_registry_raw_cache_hits_total{instance=`,
-		`pinsql_broker_dropped_total{topic="inst-00"} 0`,
 		`pinsql_fleet_queue_depth{instance="inst-01"} 0`,
 		`pinsql_ingest_parse_errors_total{instance="inst-00"} 0`,
 		`pinsql_ingest_lag_seconds{instance="inst-01"} 0`,
@@ -292,6 +464,11 @@ func TestFleetHTTP(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `pinsql_ingest_records_total{instance="inst-00"}`) {
 		t.Fatal("/metrics missing pinsql_ingest_records_total")
+	}
+	// The player feeds the collector directly; there is no broker whose
+	// drops could be counted.
+	if strings.Contains(metrics, "pinsql_broker_dropped_total") {
+		t.Fatal("/metrics still exports pinsql_broker_dropped_total")
 	}
 	if !strings.Contains(get("/debug/pprof/cmdline", 200), "fleet") {
 		t.Fatal("pprof cmdline endpoint not wired")

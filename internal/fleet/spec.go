@@ -4,15 +4,16 @@
 // the paper's production deployment multiplexes thousands of RDS instances
 // through one Kafka/Flink/diagnosis cluster (Fig. 2, §II).
 //
-// Each instance owns a per-tenant state machine driven by a shared
-// two-priority scheduler: simulator steps run at high priority (the
-// database never pauses for its monitor), diagnosis drains fill the idle
-// capacity. Per-instance queues are bounded with an explicit shed policy —
-// when diagnosis falls behind, the oldest queued window loses its
-// diagnosis (counted, never blocking the simulator). With a data
-// directory every instance persists its query log to a durable topic
-// (internal/logstore/segment) plus a committed-window journal, so a killed
-// fleet resumes every instance at the correct window after restart.
+// Each instance owns a per-tenant state machine: its source plays on the
+// instance's own goroutine straight into the window's collector (the
+// database never pauses for its monitor), and a shared worker pool
+// diagnoses and commits the staged windows. Per-instance queues are
+// bounded with an explicit shed policy — when diagnosis falls behind, the
+// oldest queued window loses its diagnosis (counted, never blocking the
+// source). With a data directory every instance persists its query log to
+// a durable topic (internal/logstore/segment) plus a committed-window
+// journal, so a killed fleet resumes every instance at the correct window
+// after restart.
 //
 // Determinism contract: with a fixed seed and no shed windows, the final
 // fleet report is byte-identical for every worker count and across

@@ -4,19 +4,14 @@ import (
 	"sync"
 )
 
-// Pool is a long-lived fixed-size worker pool with two priority classes.
-// The fleet scheduler uses it to multiplex many per-instance state
-// machines over a bounded set of OS threads: simulator steps are submitted
-// at high priority (the simulated database never pauses for the monitor —
-// mirroring production, where the DB does not wait for PinSQL), while
-// diagnosis drains run at low priority and only occupy workers the
-// simulators leave idle.
+// Pool is a long-lived fixed-size worker pool over one FIFO queue. The
+// fleet scheduler uses it to multiplex many per-instance diagnosis and
+// commit drains over a bounded set of workers; the sources that feed
+// those drains play on their own goroutines, so a worker only ever runs
+// CPU-bound work.
 //
-// Scheduling is priority-strict but not preemptive: when a worker frees
-// up it always prefers the high queue; a running low-priority task is
-// never interrupted. Both queues are unbounded FIFOs — backpressure is
-// the caller's job (the fleet sheds windows instead of letting the low
-// queue grow without bound).
+// The queue is unbounded — backpressure is the caller's job (the fleet
+// sheds windows instead of letting the queue grow without bound).
 //
 // A panic inside a task is captured; the first one is re-raised on the
 // goroutine that calls Close. This mirrors the package's ForEach/Blocks
@@ -24,8 +19,7 @@ import (
 type Pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	high     []func()
-	low      []func()
+	queue    []func()
 	closed   bool
 	panicked any
 	wg       sync.WaitGroup
@@ -47,21 +41,15 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for !p.closed && len(p.high) == 0 && len(p.low) == 0 {
+		for !p.closed && len(p.queue) == 0 {
 			p.cond.Wait()
 		}
-		var task func()
-		switch {
-		case len(p.high) > 0:
-			task = p.high[0]
-			p.high = p.high[1:]
-		case len(p.low) > 0:
-			task = p.low[0]
-			p.low = p.low[1:]
-		default: // closed and drained
+		if len(p.queue) == 0 { // closed and drained
 			p.mu.Unlock()
 			return
 		}
+		task := p.queue[0]
+		p.queue = p.queue[1:]
 		p.mu.Unlock()
 		p.run(task)
 	}
@@ -80,34 +68,20 @@ func (p *Pool) run(task func()) {
 	task()
 }
 
-// Submit enqueues a high-priority task. Submitting to a closed pool
-// panics — the fleet must stop producing before Close.
+// Submit enqueues a task; tasks start in submission order. Submitting to
+// a closed pool panics — the fleet must stop producing before Close.
 func (p *Pool) Submit(task func()) {
-	p.enqueue(task, true)
-}
-
-// SubmitLow enqueues a low-priority task: it runs only when no
-// high-priority work is queued.
-func (p *Pool) SubmitLow(task func()) {
-	p.enqueue(task, false)
-}
-
-func (p *Pool) enqueue(task func(), high bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		panic("parallel: Submit on closed Pool")
 	}
-	if high {
-		p.high = append(p.high, task)
-	} else {
-		p.low = append(p.low, task)
-	}
+	p.queue = append(p.queue, task)
 	p.cond.Signal()
 }
 
-// Close drains both queues, stops the workers, and re-raises the first
-// task panic (if any) on the calling goroutine. Tasks queued before Close
+// Close drains the queue, stops the workers, and re-raises the first task
+// panic (if any) on the calling goroutine. Tasks queued before Close
 // still run; Submit after Close panics.
 func (p *Pool) Close() {
 	p.mu.Lock()

@@ -1,10 +1,8 @@
 package parallel
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestPoolRunsAllTasks checks every submitted task executes exactly once
@@ -13,11 +11,7 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4)
 	var n atomic.Int64
 	for i := 0; i < 500; i++ {
-		if i%2 == 0 {
-			p.Submit(func() { n.Add(1) })
-		} else {
-			p.SubmitLow(func() { n.Add(1) })
-		}
+		p.Submit(func() { n.Add(1) })
 	}
 	p.Close()
 	if got := n.Load(); got != 500 {
@@ -25,32 +19,25 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	}
 }
 
-// TestPoolPriority pins a single worker and checks that queued
-// high-priority tasks run before queued low-priority ones.
-func TestPoolPriority(t *testing.T) {
+// TestPoolFIFO pins a single worker and checks that queued tasks run in
+// submission order.
+func TestPoolFIFO(t *testing.T) {
 	p := NewPool(1)
-	var mu sync.Mutex
-	var order []string
+	var order []int
 	gate := make(chan struct{})
 	// Occupy the only worker so the later submissions pile up in queue.
 	p.Submit(func() { <-gate })
-	// Give the worker a moment to pick up the blocker.
-	time.Sleep(10 * time.Millisecond)
-	for i := 0; i < 3; i++ {
-		p.SubmitLow(func() { mu.Lock(); order = append(order, "low"); mu.Unlock() })
-	}
-	for i := 0; i < 3; i++ {
-		p.Submit(func() { mu.Lock(); order = append(order, "high"); mu.Unlock() })
+	for i := 0; i < 6; i++ {
+		p.Submit(func() { order = append(order, i) })
 	}
 	close(gate)
 	p.Close()
-	want := []string{"high", "high", "high", "low", "low", "low"}
-	if len(order) != len(want) {
-		t.Fatalf("ran %d tasks, want %d", len(order), len(want))
+	if len(order) != 6 {
+		t.Fatalf("ran %d tasks, want 6", len(order))
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", order, want)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("execution order %v, want submission order", order)
 		}
 	}
 }
@@ -62,7 +49,7 @@ func TestPoolPanicPropagates(t *testing.T) {
 	var ran atomic.Int64
 	p.Submit(func() { panic("boom") })
 	for i := 0; i < 50; i++ {
-		p.SubmitLow(func() { ran.Add(1) })
+		p.Submit(func() { ran.Add(1) })
 	}
 	defer func() {
 		if r := recover(); r == nil {

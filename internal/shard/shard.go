@@ -4,9 +4,9 @@
 // cloud-scale deployment (one monitoring system over an entire RDS estate)
 // and the first rung of the ROADMAP's multi-process distributed mode.
 //
-// Each shard is a complete fleet.Fleet: its own two-priority scheduler
-// pool, its own per-instance segment stores and group-committed window
-// journal rooted at data-dir/shard-<k>/, its own broker and repair module.
+// Each shard is a complete fleet.Fleet: its own player goroutines and
+// drain pool, its own per-instance segment stores and group-committed
+// window journal rooted at data-dir/shard-<k>/, its own repair module.
 // Nothing is shared between shards on the hot path — no lock, no channel,
 // no queue; the only cross-shard structures are the obs registry (atomic
 // counters, series kept apart by a shard label) and the aggregation layer,
@@ -48,18 +48,17 @@ type Options struct {
 	// Reopening a data directory with a different explicit count fails.
 	Shards int
 
-	// Workers is the total scheduler worker budget across every shard,
+	// Workers is the total drain worker budget across every shard,
 	// split as evenly as the shard count allows (every shard gets at
 	// least one). 0 = GOMAXPROCS. The aggregated report is byte-identical
 	// for every value.
 	Workers int
 
-	// QueueDepth, SyncEvery, DiagnosisWorkers and BrokerBuffer are passed
-	// through to every shard's fleet.Options.
+	// QueueDepth, SyncEvery and DiagnosisWorkers are passed through to
+	// every shard's fleet.Options.
 	QueueDepth       int
 	SyncEvery        int
 	DiagnosisWorkers int
-	BrokerBuffer     int
 
 	// DataDir roots the durable layout: shard k keeps its instances'
 	// segment stores and its window journal under DataDir/shard-<k>/, and
@@ -174,7 +173,6 @@ func New(specs []fleet.InstanceSpec, opt Options) (*Manager, error) {
 			QueueDepth:       opt.QueueDepth,
 			SyncEvery:        opt.SyncEvery,
 			DiagnosisWorkers: opt.DiagnosisWorkers,
-			BrokerBuffer:     opt.BrokerBuffer,
 			Metrics:          m.metrics,
 			Labels:           []obs.Label{obs.L("shard", strconv.Itoa(sh))},
 			OnCommit:         opt.OnCommit,

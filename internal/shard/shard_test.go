@@ -375,12 +375,15 @@ func TestShardHTTP(t *testing.T) {
 		// registry without colliding (labels render sorted by key).
 		`pinsql_fleet_windows_total{instance="inst-00",shard="0"} 2`,
 		`pinsql_fleet_windows_total{instance="inst-01",shard="1"} 2`,
-		`pinsql_broker_dropped_total{shard="0",topic="inst-00"} 0`,
 		`pinsql_ingest_parse_errors_total{instance="inst-00",shard="0"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, metrics)
 		}
+	}
+	// Players feed their collectors directly: no broker series.
+	if strings.Contains(metrics, "pinsql_broker_dropped_total") {
+		t.Fatal("/metrics still exports pinsql_broker_dropped_total")
 	}
 	// Group commits must actually have happened (durable mode).
 	for _, line := range strings.Split(metrics, "\n") {
